@@ -25,8 +25,8 @@
 ///
 /// Coherence protocol (the stale-backlog fix): the producer charges the
 /// backlog *before* attempting the push and rolls back with undoEnqueue
-/// if the push is refused; the consumer (worker or thief) credits it only
-/// after removing the request. Since every decrement is preceded — in the
+/// if the push is refused; the worker credits it only after removing the
+/// request. Since every decrement is preceded — in the
 /// RMW modification order of the counter — by its matching increment, no
 /// reader can ever observe the unsigned counters mid-wrap. The previous
 /// protocol (charge after a successful push) let a fast worker's
@@ -86,9 +86,9 @@ public:
 };
 
 /// One worker's published load: queue depth and backlog, in tokens.
-/// Shared counters — under the StealEdf scheduler a thief decrements the
-/// victim's load, so these are read and written from any worker, and the
-/// enqueue-before-push protocol above is what keeps every read exact.
+/// Shared counters — any number of submitters charge them while the
+/// worker credits them, and the enqueue-before-push protocol above is
+/// what keeps every read exact.
 struct WorkerLoad {
   std::atomic<uint32_t> Depth{0};
   std::atomic<uint64_t> BacklogTokens{0};
@@ -107,8 +107,8 @@ struct WorkerLoad {
     BacklogTokens.fetch_sub(Tokens, std::memory_order_release);
   }
 
-  /// Consumer side — the owning worker or, under StealEdf, the thief that
-  /// removed the request from this worker's pending set.
+  /// Consumer side: the owning worker, after taking the request from its
+  /// channel.
   void onDequeue(uint64_t Tokens) {
     Depth.fetch_sub(1, std::memory_order_release);
     BacklogTokens.fetch_sub(Tokens, std::memory_order_release);

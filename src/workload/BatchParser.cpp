@@ -76,10 +76,6 @@ BatchResult runService(const Grammar &G, const GrammarAnalysis &Analysis,
   SO.CollectTrace = Opts.CollectTrace;
   SO.TraceCapacityPerThread = Opts.TraceCapacityPerThread;
   SO.Faults = Opts.Faults;
-  // Batch traces must stay scheduler-independent (the determinism suite
-  // compares them across thread counts); which worker served a word is
-  // not a batch-visible fact.
-  SO.TraceSchedulerEvents = false;
 
   service::ParseService S(SO);
   uint32_t Gid = S.addGrammar(G, Start, &Analysis, &Tables);

@@ -25,16 +25,26 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <type_traits>
 
 using namespace costar;
 using namespace costar::lang;
 
 namespace {
 
+// gtest prints a parameter without a PrintTo overload as its raw bytes,
+// and that text lands in the discovered ctest test names. The explicit
+// zeroed Pad field fills what would otherwise be uninitialized padding
+// between Id and Seed, so the names are the same in every process.
 struct LangSeedParam {
+  LangSeedParam(LangId Id, uint64_t Seed) : Id(Id), Seed(Seed) {}
   LangId Id;
+  uint32_t Pad = 0;
   uint64_t Seed;
 };
+static_assert(sizeof(LangSeedParam) == 16 &&
+                  std::has_unique_object_representations_v<LangSeedParam>,
+              "LangSeedParam must have no padding bytes");
 
 std::string paramName(const testing::TestParamInfo<LangSeedParam> &Info) {
   return std::string(langName(Info.param.Id)) + "_seed" +

@@ -6,18 +6,17 @@
 ///
 /// \file
 /// Property tests for the lexer-backend claim (lexer/ScanTable.h): the
-/// SWAR and SIMD maximal-munch matchers — both the single-match entry
-/// (matchAt) and the bulk entry (munch) — are bit-identical to the
-/// byte-at-a-time scalar walk over Dfa::next, on every input:
+/// SWAR maximal-munch matcher — both the single-match entry (matchAt) and
+/// the bulk entry (munch) — is bit-identical to the byte-at-a-time scalar
+/// walk over Dfa::next, on every input:
 ///
-///  - generated corpora for all four benchmark languages (exercising the
-///    truffle vector path on big DFAs and sheng on small ones),
+///  - generated corpora for the benchmark languages (large DFAs),
 ///  - randomly corrupted corpora (byte splices, so munch hits unmatchable
-///    bytes at random offsets and every backend must stop identically),
+///    bytes at random offsets and both backends must stop identically),
 ///  - random lexer specs over small alphabets (random DFA shapes,
-///    including <=16-state tables where the sheng path engages),
+///    including tiny <=16-state tables),
 ///  - adversarial byte strings (all 256 values, runs crossing the 8-byte
-///    SWAR and 16-byte vector block boundaries).
+///    SWAR probe boundary).
 ///
 /// Additionally, munch must equal an explicit matchAt loop on the same
 /// backend — the bulk API is an amortization, never a semantic change.
@@ -77,19 +76,18 @@ void expectSpansEqual(const std::vector<ScanTable::TokenSpan> &A,
   }
 }
 
-/// The full cross-check for one scanner and one input: every backend's
+/// The full cross-check for one scanner and one input: both backends'
 /// munch and matchAt loop against the scalar baseline's.
 void expectAllBackendsAgree(const Scanner &Base, const std::string &Text) {
-  Scanner Scalar = Base, Swar = Base, Simd = Base;
+  Scanner Scalar = Base, Swar = Base;
   Scalar.setLexBackend(LexBackend::ScalarPaperFaithful);
   Swar.setLexBackend(LexBackend::Swar);
-  Simd.setLexBackend(LexBackend::Simd);
 
   size_t RefConsumed;
   std::vector<ScanTable::TokenSpan> Ref =
       matchAtLoop(Scalar, Text, RefConsumed);
 
-  for (const Scanner *S : {&Scalar, &Swar, &Simd}) {
+  for (const Scanner *S : {&Scalar, &Swar}) {
     size_t C1, C2;
     std::vector<ScanTable::TokenSpan> ViaMunch = munchAll(*S, Text, C1);
     std::vector<ScanTable::TokenSpan> ViaLoop = matchAtLoop(*S, Text, C2);
@@ -148,8 +146,8 @@ TEST(LexBackends, LanguageCorporaIdentical) {
 TEST(LexBackends, RandomSpecsIdentical) {
   // Random lexer specs over a small alphabet: random literal tokens, an
   // optional character-class token and whitespace skip. Small rule sets
-  // minimize to <=16-state DFAs, so this sweep exercises the sheng
-  // shuffle path; larger ones exercise truffle — both against scalar.
+  // minimize to <=16-state DFAs, larger ones to wider tables — both
+  // against scalar.
   std::mt19937_64 Rng(20260812);
   static const char Alpha[] = "abcxyz019.,;()*+-";
   for (int Trial = 0; Trial < 120; ++Trial) {
@@ -188,9 +186,9 @@ TEST(LexBackends, RandomSpecsIdentical) {
 }
 
 TEST(LexBackends, BlockBoundaryRuns) {
-  // Self-loop runs whose lengths bracket the SWAR 8-byte probe and the
-  // vector 16-byte block: every length from 0 to 40, with the run at the
-  // start, middle, and end of the buffer.
+  // Self-loop runs whose lengths bracket the SWAR 8-byte probe: every
+  // length from 0 to 40, with the run at the start, middle, and end of the
+  // buffer.
   Grammar G;
   LexerSpec Spec;
   Spec.token("ID", "[a-z]+").token("NUM", "[0-9]+").skip("WS", "[ ]+");
