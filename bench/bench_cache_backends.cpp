@@ -23,6 +23,7 @@
 #include "core/Parser.h"
 #include "workload/BatchParser.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -77,19 +78,17 @@ Record measurePass(const char *Workload, const BenchCorpus &C,
           (void)P.parse(W);
       },
       Bench);
+  uint64_t MaxFileStates = 0;
   for (const Word &W : C.TokenStreams) {
     Machine::Stats St;
     (void)P.parse(W, &St);
     R.CacheHits += St.CacheHits;
     R.CacheMisses += St.CacheMisses;
+    MaxFileStates = std::max(MaxFileStates, St.CacheStatesAdded);
   }
-  R.States = P.sharedCache().numStates();
-  if (!Reuse) {
-    // Fresh caches: re-measure hit/miss on per-parse machines. The loop
-    // above used the parser's (cold per call) path already; states are
-    // per-file, so report the per-file maximum instead.
-    R.States = 0;
-  }
+  // A reused cache reports its final size. Fresh caches die with their
+  // parse, so cold rows report the per-file maximum instead.
+  R.States = Reuse ? P.sharedCache().numStates() : MaxFileStates;
   return R;
 }
 

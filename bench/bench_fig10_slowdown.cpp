@@ -18,10 +18,14 @@
 /// Both engines run with a cold cache per file, the paper's configuration
 /// ("in each trial, we instantiated an ANTLR parser ... with an empty
 /// cache because CoStar does not currently offer a way to reuse a cache").
-/// The shapes expected to carry over: the baseline wins everywhere, the
-/// parse-only gap is largest on the largest grammar (Python), and the
-/// pipeline gap on Python collapses because lexing (indentation handling)
-/// dominates.
+/// Paper-config CoStar runs on the paper-faithful reference paths of every
+/// backend axis (AVL cache, owning shared_ptr nodes, std::set FIRST/FOLLOW),
+/// so optimizations of the default backends do not leak into the
+/// reproduction. The shapes expected to carry over, checked on the four
+/// benchmarks the paper reports (Verilog has no paper bar): the baseline
+/// wins everywhere, the parse-only gap is largest on the largest grammar
+/// (Python), and the pipeline gap on Python collapses because lexing
+/// (indentation handling) dominates.
 ///
 /// A third configuration measures what this codebase adds beyond the
 /// paper: CoStar with every optimization layer on (reused SLL cache warmed
@@ -40,6 +44,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
 #include <optional>
 
 using namespace costar;
@@ -86,11 +91,16 @@ int main(int Argc, char **Argv) {
   T.sep();
 
   std::vector<BenchRecord> Records;
-  std::vector<double> ParseSlow;
+  // Parse-only slowdowns of the benchmarks that have paper bars.
+  std::map<lang::LangId, double> PaperParseSlow;
   std::vector<double> OptSlow;
   for (lang::LangId Id : lang::allLanguages()) {
     BenchCorpus C = makeTimingCorpus(Id, /*NumFiles=*/8);
-    Parser CoStar(C.L.G, C.L.Start);
+    ParseOptions PaperCfg;
+    PaperCfg.Backend = CacheBackend::AvlPaperFaithful;
+    PaperCfg.Alloc = adt::AllocBackend::SharedPtrPaperFaithful;
+    PaperCfg.Analysis = AnalysisBackend::SetPaperFaithful;
+    Parser CoStar(C.L.G, C.L.Start, PaperCfg);
     atn::AtnParser Baseline(C.L.G, C.L.Start);
 
     // The optimized configuration: everything the substitution layers
@@ -123,9 +133,10 @@ int main(int Argc, char **Argv) {
     double Parse = CoStarSec / BaselineSec;
     double Pipe = (LexSec + CoStarSec) / (LexSec + BaselineSec);
     double Opt = OptSec / BaselineSec;
-    ParseSlow.push_back(Parse);
     OptSlow.push_back(Opt);
     std::optional<PaperBars> Paper = paperBars(Id);
+    if (Paper)
+      PaperParseSlow[Id] = Parse;
     T.row({C.L.Name, stats::fmt(CoStarSec * 1e3, 1),
            stats::fmt(OptSec * 1e3, 1), stats::fmt(BaselineSec * 1e3, 1),
            stats::fmt(Parse, 1) + "x", stats::fmt(Pipe, 1) + "x",
@@ -143,12 +154,13 @@ int main(int Argc, char **Argv) {
   Records.push_back({"fig10/summary", "best_optimized_slowdown", BestOpt, "x"});
 
   bool BaselineWins = true;
-  for (double S : ParseSlow)
+  for (const auto &[Id, S] : PaperParseSlow)
     BaselineWins &= S > 1.0;
-  bool PythonWorst = ParseSlow[3] >= ParseSlow[0] &&
-                     ParseSlow[3] >= ParseSlow[2];
+  double PythonSlow = PaperParseSlow[lang::LangId::Python];
+  bool PythonWorst = PythonSlow >= PaperParseSlow[lang::LangId::Json] &&
+                     PythonSlow >= PaperParseSlow[lang::LangId::Dot];
   bool OptBeatsAtn = BestOpt < 1.0;
-  std::printf("\nShape checks:\n");
+  std::printf("\nShape checks (benchmarks with paper bars):\n");
   std::printf("  baseline faster than paper-config CoStar on every "
               "benchmark: %s\n",
               BaselineWins ? "HOLDS" : "VIOLATED");

@@ -25,7 +25,8 @@
 ///  - reset() runs the registered finalizers (destructors of
 ///    non-trivially-destructible objects from create()) in reverse order,
 ///    then rewinds. Anything that must survive an epoch is either
-///    deep-copied out (Tree::detach(), SllCache's config detachment) or
+///    deep-copied out (Tree::detach(), the config detachment of an
+///    SllCache that outlives the epoch) or
 ///    keeps the whole epoch alive by sharing ownership of the arena
 ///    (Machine/Parser epoch handoff).
 ///  - Machine::run() resets its arena at the *start* of the run, so the

@@ -29,7 +29,7 @@ Machine::Machine(const Grammar &G, const PredictionTables &Tables,
                  NonterminalId Start, const Word &Input,
                  const ParseOptions &Opts, SllCache *SharedCache)
     : G(G), Tables(Tables), StartSyms({Symbol::nonterminal(Start)}),
-      Input(Input), OwnedCache(Opts.Backend),
+      Input(Input), OwnedCache(Opts.Backend, SllCache::ParseLocal{}),
       Cache(SharedCache ? SharedCache : &OwnedCache), Opts(Opts) {
   if (this->Opts.Alloc == adt::AllocBackend::Arena && !this->Opts.AllocArena)
     OwnedArena = std::make_shared<adt::Arena>();

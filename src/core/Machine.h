@@ -217,6 +217,9 @@ public:
   size_t tokensRemaining() const { return Input.size() - Pos; }
   bool uniqueFlag() const { return UniqueFlag; }
   const Stats &stats() const { return MachineStats; }
+  /// The SLL cache this machine predicts with. The machine's own cache
+  /// holds sim stacks in the run's arena epoch: read it only while the
+  /// machine lives, and do not copy it into a cache that outlives it.
   const SllCache &cache() const { return *Cache; }
 
 private:
@@ -238,6 +241,10 @@ private:
   size_t Pos = 0;
   VisitedSet Visited;
   bool UniqueFlag = true;
+  /// The parse-local cache used when no shared one is given. Callers run
+  /// a machine once, so the cache is destroyed before the next run() of
+  /// any machine rewinds the arena, and intern() leaves its sim stacks in
+  /// the epoch.
   SllCache OwnedCache;
   SllCache *Cache;
   ParseOptions Opts;

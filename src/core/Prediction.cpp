@@ -10,9 +10,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <set>
-#include <unordered_map>
-#include <unordered_set>
 
 using namespace costar;
 
@@ -110,39 +107,84 @@ struct ClosureOut {
   std::optional<ParseError> Err;
 };
 
+/// Closure dedup set on the hash-consed (prediction, stack) identity: the
+/// hash is O(1) to read off the stack head (subparserHash), and the
+/// structural equality check short-circuits on shared tails, so a probe
+/// never serializes the whole stack. Open addressing with linear probing
+/// over a power-of-two slot array, as in adt/HashIndex.h; clear() empties
+/// only the slots the round filled, so one slot array serves every
+/// closure round of a prediction and an insert allocates nothing. Slots
+/// hold owning stack handles: under the SharedPtr allocation backend a
+/// node could otherwise be freed mid-round and its address reused, and
+/// the pointer-equality shortcut would then report a false duplicate.
+class SeenTable {
+  struct Slot {
+    uint64_t Hash = 0;
+    SimStackPtr Stack;
+    ProductionId Prediction = InvalidProductionId;
+    bool Used = false;
+  };
+  std::vector<Slot> Slots;
+  std::vector<uint32_t> Filled;
+
+  uint32_t probe(uint64_t Hash, ProductionId Prediction,
+                 const SimStackNode *Stack) const {
+    size_t Mask = Slots.size() - 1;
+    for (size_t I = static_cast<size_t>(Hash) & Mask;; I = (I + 1) & Mask) {
+      const Slot &S = Slots[I];
+      if (!S.Used || (S.Hash == Hash && S.Prediction == Prediction &&
+                      simStackEquals(S.Stack.get(), Stack)))
+        return static_cast<uint32_t>(I);
+    }
+  }
+
+  void grow() {
+    std::vector<Slot> Old = std::move(Slots);
+    Slots.assign(Old.empty() ? 64 : Old.size() * 2, Slot{});
+    size_t Mask = Slots.size() - 1;
+    for (uint32_t &I : Filled) {
+      Slot &S = Old[I];
+      I = static_cast<uint32_t>(S.Hash & Mask);
+      while (Slots[I].Used)
+        I = (I + 1) & Mask;
+      Slots[I] = std::move(S);
+    }
+  }
+
+public:
+  void clear() {
+    for (uint32_t I : Filled)
+      Slots[I] = Slot{};
+    Filled.clear();
+  }
+
+  /// \returns true when \p Sp's identity was not yet in the set.
+  bool insert(const Subparser &Sp) {
+    if ((Filled.size() + 1) * 10 >= Slots.size() * 7)
+      grow();
+    uint64_t Hash = subparserHash(Sp);
+    uint32_t I = probe(Hash, Sp.Prediction, Sp.Stack.get());
+    Slot &S = Slots[I];
+    if (S.Used)
+      return false;
+    S = Slot{Hash, Sp.Stack, Sp.Prediction, true};
+    Filled.push_back(I);
+    return true;
+  }
+};
+
 /// Shared subparser simulation engine for both prediction modes. The
-/// worklist and the dedup set are members so their buffers (and the dedup
-/// set's bucket array) are reused across every closure round of one
-/// prediction call instead of being reallocated per simulated token.
+/// worklist and the dedup set are members so their buffers are reused
+/// across every closure round of one prediction call instead of being
+/// reallocated per simulated token.
 class Simulator {
   const Grammar &G;
   const PredictionTables *Tables; // non-null iff Mode == SLL
   SimMode Mode;
   robust::BudgetTracker *Budget; // may be null (no budget checking)
 
-  // Dedup on the hash-consed (prediction, stack) identity: the hash is
-  // O(1) to read off the stack head, and the structural equality check
-  // short-circuits on shared tails, so a dedup probe no longer
-  // serializes the whole stack.
-  struct SeenKey {
-    ProductionId Prediction;
-    SimStackPtr Stack;
-    uint64_t Hash;
-  };
-  struct SeenHash {
-    size_t operator()(const SeenKey &K) const {
-      return static_cast<size_t>(K.Hash);
-    }
-  };
-  struct SeenEq {
-    bool operator()(const SeenKey &A, const SeenKey &B) const {
-      return A.Prediction == B.Prediction &&
-             simStackEquals(A.Stack.get(), B.Stack.get());
-    }
-  };
-
   std::vector<Subparser> Work;
-  std::unordered_set<SeenKey, SeenHash, SeenEq> Seen;
+  SeenTable Seen;
 
 public:
   Simulator(const Grammar &G, const PredictionTables *Tables, SimMode Mode,
@@ -199,8 +241,7 @@ public:
       }
       Subparser Sp = std::move(Work.back());
       Work.pop_back();
-      if (!Seen.insert(SeenKey{Sp.Prediction, Sp.Stack, subparserHash(Sp)})
-               .second)
+      if (!Seen.insert(Sp))
         continue;
 
       if (!Sp.Stack) {
@@ -361,11 +402,14 @@ PredictionResult costar::llPredict(const Grammar &G, NonterminalId X,
 
 namespace {
 
-/// Deep-copies an epoch-arena sim stack into owning heap nodes so cached
-/// DFA configs survive the parse that built them. The memo preserves the
-/// tail sharing closure produced (configs of one state routinely share
-/// stack suffixes); it is a flat vector scanned newest-first because the
-/// sharing point is almost always the most recently detached suffix.
+/// Deep-copies an epoch-arena sim stack into owning heap nodes so the
+/// cached DFA configs of a cache that outlives the parse epoch survive the
+/// parse that built them. A parse-local cache (SllCache::OutlivesEpoch
+/// false) never calls this: it dies before the arena rewinds. The memo
+/// preserves the tail sharing closure produced (configs of one state
+/// routinely share stack suffixes); it is a flat vector scanned
+/// newest-first because the sharing point is almost always the most
+/// recently detached suffix.
 /// Nodes the active arena does not own anchor the recursion: they live in
 /// earlier states of this same cache (detached by a previous intern, or
 /// borrowed from one by makeSimStack), and caches are exchanged wholesale
@@ -403,23 +447,55 @@ SimStackPtr detachSimStack(
   return Owned;
 }
 
+/// One config's serialized key: words [Begin, End) of intern()'s buffer,
+/// serialized from Configs[Index].
+struct KeySpan {
+  uint32_t Begin;
+  uint32_t End;
+  uint32_t Index;
+};
+
+/// Orders config keys as a sort of (serialized words, original index)
+/// pairs would: lexicographically by words, ties by index.
+bool keyLess(const uint32_t *Words, const KeySpan &A, const KeySpan &B) {
+  auto [MA, MB] = std::mismatch(Words + A.Begin, Words + A.End,
+                                Words + B.Begin, Words + B.End);
+  bool AEnded = MA == Words + A.End, BEnded = MB == Words + B.End;
+  if (!AEnded && !BEnded)
+    return *MA < *MB;
+  if (AEnded && BEnded)
+    return A.Index < B.Index;
+  return AEnded;
+}
+
 } // namespace
 
 uint32_t SllCache::intern(std::vector<Subparser> Configs) {
-  // Canonicalize: sort configs by serialized identity, then flatten into a
-  // single key. Both backends share this canonicalization bit for bit, so
-  // state ids and contents never depend on the backend.
-  std::vector<std::pair<std::vector<uint32_t>, size_t>> Keyed;
-  Keyed.reserve(Configs.size());
+  // Canonicalize: serialize every config into one word buffer, sort the
+  // configs by their serialized words, then concatenate the words in that
+  // order into a single key. Both backends share this canonicalization
+  // bit for bit, so state ids and contents never depend on the backend.
+  // The buffers are reused across calls on this thread: a cold parse
+  // interns a state on every cache miss.
+  thread_local std::vector<uint32_t> Words;
+  thread_local std::vector<KeySpan> Spans;
+  thread_local std::vector<uint32_t> FlatKey;
+  Words.clear();
+  Spans.clear();
   for (size_t I = 0; I < Configs.size(); ++I) {
-    std::vector<uint32_t> Key;
-    serializeSubparser(Configs[I], Key);
-    Keyed.emplace_back(std::move(Key), I);
+    uint32_t Begin = static_cast<uint32_t>(Words.size());
+    serializeSubparser(Configs[I], Words);
+    Spans.push_back(
+        {Begin, static_cast<uint32_t>(Words.size()), static_cast<uint32_t>(I)});
   }
-  std::sort(Keyed.begin(), Keyed.end());
-  std::vector<uint32_t> FlatKey;
-  for (const auto &[Key, Index] : Keyed)
-    FlatKey.insert(FlatKey.end(), Key.begin(), Key.end());
+  std::sort(Spans.begin(), Spans.end(),
+            [W = Words.data()](const KeySpan &A, const KeySpan &B) {
+              return keyLess(W, A, B);
+            });
+  FlatKey.clear();
+  for (const KeySpan &K : Spans)
+    FlatKey.insert(FlatKey.end(), Words.begin() + K.Begin,
+                   Words.begin() + K.End);
 
   uint64_t FlatHash = 0;
   if (Backend == CacheBackend::Hashed) {
@@ -428,8 +504,8 @@ uint32_t SllCache::intern(std::vector<Subparser> Configs) {
     // canonical order) rather than re-hashing the serialized words; the
     // interner's memcmp against FlatKey keeps equality exact.
     FlatHash = 0x243F6A8885A308D3ull;
-    for (const auto &[Key, Index] : Keyed)
-      FlatHash = adt::mix64(FlatHash ^ subparserHash(Configs[Index]));
+    for (const KeySpan &K : Spans)
+      FlatHash = adt::mix64(FlatHash ^ subparserHash(Configs[K.Index]));
     if (const uint32_t *Found = HashIntern.find(FlatKey, FlatHash))
       return *Found;
   } else if (const uint32_t *Found = AvlIntern.find(FlatKey)) {
@@ -438,11 +514,12 @@ uint32_t SllCache::intern(std::vector<Subparser> Configs) {
 
   DfaState St;
   St.Configs.reserve(Configs.size());
-  for (const auto &[Key, Index] : Keyed)
-    St.Configs.push_back(std::move(Configs[Index]));
-  // The cache outlives the parse epoch: re-anchor any arena-allocated sim
-  // stacks on the heap before the state is stored.
-  if (adt::Arena *A = adt::activeArena()) {
+  for (const KeySpan &K : Spans)
+    St.Configs.push_back(std::move(Configs[K.Index]));
+  // A cache that outlives the parse epoch re-anchors any arena-allocated
+  // sim stacks on the heap before the state is stored. A parse-local
+  // cache dies before the arena rewinds, so its stacks stay put.
+  if (adt::Arena *A = OutlivesEpoch ? adt::activeArena() : nullptr) {
     auto Block = std::make_shared<std::deque<SimStackNode>>();
     std::vector<std::pair<const SimStackNode *, SimStackPtr>> Memo;
     for (Subparser &Sp : St.Configs) {

@@ -44,6 +44,7 @@
 #include "grammar/Analysis.h"
 #include "grammar/Token.h"
 
+#include <atomic>
 #include <functional>
 #include <optional>
 #include <span>
@@ -108,11 +109,13 @@ struct SimStackNode {
 inline SimStackPtr makeSimStack(SimFrame F, SimStackPtr Tail) {
   ++adt::AllocationCounters::nodes();
   if (adt::Arena *A = adt::activeArena()) {
-    // The tail is either another arena node (non-owning arenaRef already)
-    // or a cache-owned heap node (cached configs are detached to the heap
-    // at intern, and every cache outlives the epochs that read it) — so
-    // the arena node *borrows* its tail instead of refcounting it, and no
-    // finalizer is needed: the node's destructor would be a no-op.
+    // The tail outlives this epoch's reads of it. It is one of: an arena
+    // node of this epoch (non-owning arenaRef already, possibly held by
+    // a parse-local cache, which dies before the arena rewinds); or a
+    // heap node owned by a cache that outlives the epoch (such caches
+    // detach their configs to the heap at intern). Either way the arena
+    // node *borrows* its tail instead of refcounting it, and no finalizer
+    // is needed: the node's destructor would be a no-op.
     return adt::arenaRef(A->createUnmanaged<SimStackNode>(
         F, SimStackPtr(SimStackPtr(), Tail.get())));
   }
@@ -274,21 +277,51 @@ public:
   /// Append-only DFA state storage with O(1) structural sharing: states
   /// live in fixed-size chunks held by shared_ptr, so copying the table
   /// (SharedSllCache snapshot/publish/adopt) copies chunk *pointers*, not
-  /// states. push_back clones only a partially-filled last chunk that is
-  /// still shared with a snapshot (copy-on-write; at most ChunkSize - 1
+  /// states. push_back clones only a partially-filled last chunk that has
+  /// been shared with a copy (copy-on-write; at most ChunkSize - 1
   /// DfaState copies per divergence, independent of cache size). Chunks
-  /// are immutable once full, so cross-thread sharing is safe; the
-  /// use_count() == 1 check is the standard sole-owner COW test.
+  /// are immutable once full or once shared, so cross-thread sharing is
+  /// safe.
+  ///
+  /// Sharing is a sticky per-chunk flag set by the copy, not a
+  /// use_count() test: use_count() is a relaxed read, so an in-place
+  /// append after another holder dropped its reference would not be
+  /// ordered after that holder's reads (a data race ThreadSanitizer
+  /// reports). A marked chunk is never written again by anyone; an
+  /// unmarked one has never been copied, so its one table is its only
+  /// reader and writer.
   class DfaStateTable {
     static constexpr size_t ChunkShift = 6;
     static constexpr size_t ChunkCap = size_t(1) << ChunkShift;
     struct Chunk {
       std::vector<DfaState> Items;
+      mutable std::atomic<bool> Shared{false};
     };
     std::vector<std::shared_ptr<Chunk>> Chunks;
     size_t Count = 0;
 
+    /// Full chunks are immutable anyway; only a partial tail can be
+    /// appended to, so only it needs the mark.
+    void markTailShared() const {
+      if (Count & (ChunkCap - 1))
+        Chunks.back()->Shared.store(true);
+    }
+
   public:
+    DfaStateTable() = default;
+    DfaStateTable(DfaStateTable &&) = default;
+    DfaStateTable &operator=(DfaStateTable &&) = default;
+    DfaStateTable(const DfaStateTable &Other)
+        : Chunks(Other.Chunks), Count(Other.Count) {
+      markTailShared();
+    }
+    DfaStateTable &operator=(const DfaStateTable &Other) {
+      Chunks = Other.Chunks;
+      Count = Other.Count;
+      markTailShared();
+      return *this;
+    }
+
     size_t size() const { return Count; }
 
     const DfaState &operator[](size_t I) const {
@@ -299,7 +332,7 @@ public:
     void push_back(DfaState St) {
       if (Count & (ChunkCap - 1)) {
         std::shared_ptr<Chunk> &Last = Chunks.back();
-        if (Last.use_count() != 1) {
+        if (Last->Shared.load()) {
           auto Fresh = std::make_shared<Chunk>();
           Fresh->Items.reserve(ChunkCap);
           Fresh->Items = Last->Items;
@@ -318,6 +351,13 @@ public:
 
 private:
   CacheBackend Backend = CacheBackend::Hashed;
+  /// Whether the cache may be read after the active arena epoch rewinds.
+  /// True for every cache a caller can hold (Parser's ReuseCache cache,
+  /// BatchParser and service worker caches, warm-start and snapshot
+  /// caches): intern() then detaches arena sim stacks to the heap. False
+  /// only for a Machine's own cache, which is destroyed before the next
+  /// run() rewinds the arena, so its stacks stay in the epoch arena.
+  bool OutlivesEpoch = true;
   DfaStateTable States;
   // AvlPaperFaithful indexes (empty under the Hashed backend).
   adt::PersistentMap<std::vector<uint32_t>, uint32_t, CacheKeyLess> AvlIntern;
@@ -327,6 +367,13 @@ private:
   adt::SpanIndex HashIntern;
   adt::HashIndex HashTransitions;
   adt::HashIndex HashStartStates;
+
+  /// The parse-local cache a Machine owns (OutlivesEpoch == false). Only
+  /// Machine can build one, so no caller-held cache can skip the detach.
+  friend class Machine;
+  struct ParseLocal {};
+  SllCache(CacheBackend Backend, ParseLocal)
+      : Backend(Backend), OutlivesEpoch(false) {}
 
 public:
   SllCache() = default;
@@ -339,6 +386,8 @@ public:
 
   /// Interns \p Configs (sorted by serialized key) as a DFA state,
   /// computing its resolution; returns the existing id when already known.
+  /// A new state's arena sim stacks are detached to the heap unless the
+  /// cache is parse-local (see OutlivesEpoch).
   uint32_t intern(std::vector<Subparser> Configs);
 
   const DfaState &state(uint32_t Id) const {

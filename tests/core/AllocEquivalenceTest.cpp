@@ -25,6 +25,10 @@
 ///    same arena, explicit Tree::detach() escapes a live epoch, and the
 ///    ParseBudget byte cap trips inside the arena path.
 ///
+///  - A machine's own (parse-local) SLL cache keeps its configs' sim
+///    stacks in the epoch arena: it dies before the arena rewinds, so
+///    intern() skips the heap detach that caller-held caches need.
+///
 ///  - Epoch handoff (ParseOptions::DetachResults == false): results
 ///    co-own their epoch's arena zero-copy, stay valid across later
 ///    parses, parser destruction, and cross-thread destruction, and the
@@ -231,6 +235,38 @@ TEST(AllocLifetime, EpochResetBetweenConsecutiveParsesReusesSlabs) {
   EXPECT_EQ(A.capacity(), Capacity);
   // Each run() opened a fresh epoch on the shared arena.
   EXPECT_EQ(A.epoch(), Epoch + 10);
+}
+
+TEST(AllocLifetime, ParseLocalCacheStacksStayInTheEpoch) {
+  // Every node of every cached config of the machine's own cache was
+  // built by closure inside the run's epoch and never copied out.
+  std::mt19937_64 Rng(1313);
+  adt::Arena A;
+  size_t Nodes = 0;
+  for (int Trial = 0; Trial < 20; ++Trial) {
+    Grammar G = randomNonLeftRecursiveGrammar(Rng);
+    GrammarAnalysis An(G, 0);
+    PredictionTables Tables(G, An);
+    DerivationSampler Sampler(An, Rng());
+    Word W = Sampler.sampleWord(0, 5);
+    if (W.size() > 40)
+      continue;
+    for (CacheBackend B :
+         {CacheBackend::AvlPaperFaithful, CacheBackend::Hashed}) {
+      ParseOptions Opts = withBackends(adt::AllocBackend::Arena, B);
+      Opts.AllocArena = &A;
+      Machine M(G, Tables, 0, W, Opts);
+      (void)M.run();
+      const SllCache &C = M.cache();
+      for (uint32_t Id = 0; Id < C.numStates(); ++Id)
+        for (const Subparser &Sp : C.state(Id).Configs)
+          for (const SimStackNode *N = Sp.Stack.get(); N; N = N->Tail.get()) {
+            EXPECT_TRUE(A.owns(N)) << G.toString();
+            ++Nodes;
+          }
+    }
+  }
+  EXPECT_GT(Nodes, 100u);
 }
 
 TEST(AllocLifetime, ExplicitDetachEscapesALiveEpoch) {

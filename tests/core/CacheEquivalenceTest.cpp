@@ -18,6 +18,11 @@
 ///  - Machine::Stats reports per-run cache deltas even when the cache
 ///    accumulates across runs.
 ///
+///  - Every interned state lists its configs in strictly ascending
+///    serialized-key order (the canonical form both backends share), and
+///    a cache that outlives the parse epoch (ReuseCache, SharedSllCache)
+///    holds no sim-stack node a live arena owns.
+///
 //===----------------------------------------------------------------------===//
 
 #include "core/Parser.h"
@@ -59,6 +64,34 @@ void expectIdentical(const ParseResult &A, const ParseResult &B,
         << G.toString();
     break;
   }
+}
+
+/// Checks that each state's configs are in strictly ascending serialized
+/// key order.
+void expectCanonicalStates(const SllCache &C) {
+  for (uint32_t Id = 0; Id < C.numStates(); ++Id) {
+    const std::vector<Subparser> &Configs = C.state(Id).Configs;
+    std::vector<uint32_t> Prev, Key;
+    for (size_t I = 0; I < Configs.size(); ++I) {
+      Key.clear();
+      serializeSubparser(Configs[I], Key);
+      if (I > 0) {
+        EXPECT_TRUE(std::lexicographical_compare(Prev.begin(), Prev.end(),
+                                                 Key.begin(), Key.end()))
+            << "state " << Id << " is not in canonical order";
+      }
+      std::swap(Prev, Key);
+    }
+  }
+}
+
+/// Checks that no cached sim-stack node lives in an arena: the cache
+/// outlives every epoch that filled it, so each was detached to the heap.
+void expectNoArenaNodes(const SllCache &C) {
+  for (uint32_t Id = 0; Id < C.numStates(); ++Id)
+    for (const Subparser &Sp : C.state(Id).Configs)
+      for (const SimStackNode *N = Sp.Stack.get(); N; N = N->Tail.get())
+        ASSERT_FALSE(adt::Arena::ownedByLiveArena(N)) << "state " << Id;
 }
 
 ParseOptions withBackend(CacheBackend B, bool Reuse = false) {
@@ -178,6 +211,10 @@ TEST(CacheReuse, WarmEqualsColdOnRandomGrammarsBothBackends) {
         expectIdentical(RC, RW1, G);
         expectIdentical(RC, RW2, G);
       }
+      // The warm cache survived every arena rewind above by owning its
+      // stacks on the heap.
+      expectCanonicalStates(Warm.sharedCache());
+      expectNoArenaNodes(Warm.sharedCache());
     }
   }
 }
@@ -352,6 +389,8 @@ TEST(SharedCacheCopies, SnapshotExchangeDoesNotRecopyUnchangedStates) {
   }
   ASSERT_GT(Local.numStates(), 96u)
       << "warmup too small to distinguish O(chunk) from O(states)";
+  // Each machine above parsed in its own private arena, now destroyed.
+  expectNoArenaNodes(Local);
 
   // A full publish + snapshot + adopt cycle on the warmed cache.
   SllCache::DfaState::copies() = 0;
@@ -377,4 +416,6 @@ TEST(SharedCacheCopies, SnapshotExchangeDoesNotRecopyUnchangedStates) {
   uint64_t DivergenceCopies = SllCache::DfaState::copies();
   EXPECT_LT(DivergenceCopies, 64u)
       << "diverging from a snapshot re-copied more than one chunk";
+  expectCanonicalStates(Adopted);
+  expectNoArenaNodes(Adopted);
 }
