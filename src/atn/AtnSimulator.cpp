@@ -10,7 +10,6 @@
 #include <cstring>
 #include <map>
 #include <set>
-#include <unordered_set>
 
 using namespace costar;
 using namespace costar::atn;
@@ -22,13 +21,15 @@ using namespace costar::atn;
 const Ctx *CtxPool::get(AtnStateId ReturnState, const Ctx *Parent) {
   uint64_t Hash = 0x9E3779B97F4A7C15ull * (ReturnState + 1) ^
                   (Parent ? Parent->Hash * 0xC2B2AE3D27D4EB4Full : 0);
-  std::vector<const Ctx *> &Bucket = Buckets[Hash];
-  for (const Ctx *C : Bucket)
-    if (C->ReturnState == ReturnState && C->Parent == Parent)
-      return C;
+  uint64_t IndexHash = adt::mix64(Hash);
+  if (const uint32_t *Id = Index.find(IndexHash, [&](uint32_t Id) {
+        return Arena[Id].ReturnState == ReturnState &&
+               Arena[Id].Parent == Parent;
+      }))
+    return &Arena[*Id];
+  Index.insert(IndexHash);
   Arena.push_back(Ctx{ReturnState, Parent, Hash,
                       Parent ? Parent->Depth + 1 : 1});
-  Bucket.push_back(&Arena.back());
   return &Arena.back();
 }
 
@@ -108,11 +109,56 @@ void AtnCache::recordTransition(uint32_t From, TerminalId T, uint32_t To) {
 
 namespace {
 
-struct ConfigHash {
-  size_t operator()(const Config &C) const {
+/// Closure dedup set, the same bookkeeping as CoStar's closure: open
+/// addressing with linear probing over a power-of-two slot array, and
+/// clear() empties only the slots filled since the last clear, so one
+/// slot array serves every closure on this thread and an insert
+/// allocates nothing.
+class ConfigSet {
+  struct Slot {
+    Config C;
+    bool Used = false;
+  };
+  std::vector<Slot> Slots;
+  std::vector<uint32_t> Filled;
+
+  static size_t hash(const Config &C) {
     uint64_t H = (static_cast<uint64_t>(C.State) << 32) | C.Alt;
-    H ^= reinterpret_cast<uint64_t>(C.Stack) * 0x9E3779B97F4A7C15ull;
-    return static_cast<size_t>(H ^ (H >> 29));
+    return adt::mix64(H ^ reinterpret_cast<uint64_t>(C.Stack));
+  }
+
+  void grow() {
+    std::vector<Slot> Old = std::move(Slots);
+    Slots.assign(Old.empty() ? 64 : Old.size() * 2, Slot{});
+    size_t Mask = Slots.size() - 1;
+    for (uint32_t &I : Filled) {
+      const Config &C = Old[I].C;
+      I = static_cast<uint32_t>(hash(C) & Mask);
+      while (Slots[I].Used)
+        I = (I + 1) & Mask;
+      Slots[I] = Slot{C, true};
+    }
+  }
+
+public:
+  void clear() {
+    for (uint32_t I : Filled)
+      Slots[I].Used = false;
+    Filled.clear();
+  }
+
+  /// \returns true when \p C was not yet in the set.
+  bool insert(const Config &C) {
+    if ((Filled.size() + 1) * 10 >= Slots.size() * 7)
+      grow();
+    size_t Mask = Slots.size() - 1;
+    size_t I = hash(C) & Mask;
+    for (; Slots[I].Used; I = (I + 1) & Mask)
+      if (Slots[I].C == C)
+        return false;
+    Slots[I] = Slot{C, true};
+    Filled.push_back(static_cast<uint32_t>(I));
+    return true;
   }
 };
 
@@ -132,11 +178,12 @@ struct ClosureOut {
 ClosureOut closure(const Atn &A, CtxPool &Pool, SimMode Mode,
                    std::vector<Config> Work) {
   ClosureOut Out;
-  std::unordered_set<Config, ConfigHash> Seen;
+  thread_local ConfigSet Seen;
+  Seen.clear();
   while (!Work.empty()) {
     Config C = Work.back();
     Work.pop_back();
-    if (!Seen.insert(C).second)
+    if (!Seen.insert(C))
       continue;
     if (C.State == FinalSentinel) {
       Out.Configs.push_back(C);

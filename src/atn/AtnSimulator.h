@@ -22,6 +22,7 @@
 #ifndef COSTAR_ATN_ATNSIMULATOR_H
 #define COSTAR_ATN_ATNSIMULATOR_H
 
+#include "adt/HashIndex.h"
 #include "atn/Atn.h"
 #include "core/Frame.h"
 #include "grammar/Token.h"
@@ -54,7 +55,8 @@ struct Ctx {
 /// cache so cached configs stay valid across parses.
 class CtxPool {
   std::deque<Ctx> Arena;
-  std::unordered_map<uint64_t, std::vector<const Ctx *>> Buckets;
+  /// Open-addressing index over Arena; ids are Arena positions.
+  adt::IdIndex Index;
 
 public:
   const Ctx *get(AtnStateId ReturnState, const Ctx *Parent);

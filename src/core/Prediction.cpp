@@ -33,6 +33,25 @@ void costar::serializeSubparser(const Subparser &Sp,
   Out.push_back(SerialEnd);
 }
 
+int costar::subparserCompare(const Subparser &A, const Subparser &B) {
+  if (A.Prediction != B.Prediction)
+    return A.Prediction < B.Prediction ? -1 : 1;
+  for (const SimStackNode *X = A.Stack.get(), *Y = B.Stack.get(); X != Y;
+       X = X->Tail.get(), Y = Y->Tail.get()) {
+    // A stack's end compares as the SerialEnd word it serializes to; no
+    // production id equals it, so the walk never reads past an end.
+    uint32_t XProd = X ? X->F.Prod : SerialEnd;
+    uint32_t YProd = Y ? Y->F.Prod : SerialEnd;
+    if (XProd != YProd)
+      return XProd < YProd ? -1 : 1;
+    if (X->F.Pos != Y->F.Pos)
+      return X->F.Pos < Y->F.Pos ? -1 : 1;
+    adt::prefetchRead(X->Tail.get());
+    adt::prefetchRead(Y->Tail.get());
+  }
+  return 0;
+}
+
 //===----------------------------------------------------------------------===//
 // PredictionTables
 //===----------------------------------------------------------------------===//
@@ -447,75 +466,56 @@ SimStackPtr detachSimStack(
   return Owned;
 }
 
-/// One config's serialized key: words [Begin, End) of intern()'s buffer,
-/// serialized from Configs[Index].
-struct KeySpan {
-  uint32_t Begin;
-  uint32_t End;
-  uint32_t Index;
-};
-
-/// Orders config keys as a sort of (serialized words, original index)
-/// pairs would: lexicographically by words, ties by index.
-bool keyLess(const uint32_t *Words, const KeySpan &A, const KeySpan &B) {
-  auto [MA, MB] = std::mismatch(Words + A.Begin, Words + A.End,
-                                Words + B.Begin, Words + B.End);
-  bool AEnded = MA == Words + A.End, BEnded = MB == Words + B.End;
-  if (!AEnded && !BEnded)
-    return *MA < *MB;
-  if (AEnded && BEnded)
-    return A.Index < B.Index;
-  return AEnded;
-}
-
 } // namespace
 
 uint32_t SllCache::intern(std::vector<Subparser> Configs) {
-  // Canonicalize: serialize every config into one word buffer, sort the
-  // configs by their serialized words, then concatenate the words in that
-  // order into a single key. Both backends share this canonicalization
-  // bit for bit, so state ids and contents never depend on the backend.
-  // The buffers are reused across calls on this thread: a cold parse
-  // interns a state on every cache miss.
-  thread_local std::vector<uint32_t> Words;
-  thread_local std::vector<KeySpan> Spans;
+  // Canonicalize: sort the configs by subparserCompare, ties by position.
+  // Both backends share this order bit for bit, so state ids and contents
+  // never depend on the backend. The Hashed backend then looks the state
+  // up by a hash of the per-config stack hashes (O(1) each) and compares a
+  // candidate's configs in place, so no key is built or stored; the
+  // AvlPaperFaithful backend keeps the paper's key, the sorted configs'
+  // concatenated serializeSubparser words. The buffers are reused across
+  // calls on this thread: a cold parse interns a state on every miss.
+  thread_local std::vector<uint32_t> Order;
   thread_local std::vector<uint32_t> FlatKey;
-  Words.clear();
-  Spans.clear();
-  for (size_t I = 0; I < Configs.size(); ++I) {
-    uint32_t Begin = static_cast<uint32_t>(Words.size());
-    serializeSubparser(Configs[I], Words);
-    Spans.push_back(
-        {Begin, static_cast<uint32_t>(Words.size()), static_cast<uint32_t>(I)});
-  }
-  std::sort(Spans.begin(), Spans.end(),
-            [W = Words.data()](const KeySpan &A, const KeySpan &B) {
-              return keyLess(W, A, B);
-            });
-  FlatKey.clear();
-  for (const KeySpan &K : Spans)
-    FlatKey.insert(FlatKey.end(), Words.begin() + K.Begin,
-                   Words.begin() + K.End);
+  Order.resize(Configs.size());
+  for (uint32_t I = 0; I < Order.size(); ++I)
+    Order[I] = I;
+  std::sort(Order.begin(), Order.end(), [&](uint32_t A, uint32_t B) {
+    int C = subparserCompare(Configs[A], Configs[B]);
+    return C != 0 ? C < 0 : A < B;
+  });
 
-  uint64_t FlatHash = 0;
+  uint64_t StateHash = 0;
   if (Backend == CacheBackend::Hashed) {
     robust::injectPoint(robust::FaultSite::HashedCacheProbe);
-    // Hash the state off the hash-consed per-config hashes (O(1) each, in
-    // canonical order) rather than re-hashing the serialized words; the
-    // interner's memcmp against FlatKey keeps equality exact.
-    FlatHash = 0x243F6A8885A308D3ull;
-    for (const KeySpan &K : Spans)
-      FlatHash = adt::mix64(FlatHash ^ subparserHash(Configs[K.Index]));
-    if (const uint32_t *Found = HashIntern.find(FlatKey, FlatHash))
+    StateHash = 0x243F6A8885A308D3ull;
+    for (uint32_t I : Order)
+      StateHash = adt::mix64(StateHash ^ subparserHash(Configs[I]));
+    auto SameState = [&](uint32_t Id) {
+      const std::vector<Subparser> &Known = States[Id].Configs;
+      if (Known.size() != Order.size())
+        return false;
+      for (size_t I = 0; I < Known.size(); ++I)
+        if (!subparserEquals(Known[I], Configs[Order[I]]))
+          return false;
+      return true;
+    };
+    if (const uint32_t *Found = HashIntern.find(StateHash, SameState))
       return *Found;
-  } else if (const uint32_t *Found = AvlIntern.find(FlatKey)) {
-    return *Found;
+  } else {
+    FlatKey.clear();
+    for (uint32_t I : Order)
+      serializeSubparser(Configs[I], FlatKey);
+    if (const uint32_t *Found = AvlIntern.find(FlatKey))
+      return *Found;
   }
 
   DfaState St;
   St.Configs.reserve(Configs.size());
-  for (const KeySpan &K : Spans)
-    St.Configs.push_back(std::move(Configs[K.Index]));
+  for (uint32_t I : Order)
+    St.Configs.push_back(std::move(Configs[I]));
   // A cache that outlives the parse epoch re-anchors any arena-allocated
   // sim stacks on the heap before the state is stored. A parse-local
   // cache dies before the arena rewinds, so its stacks stay put.
@@ -540,8 +540,8 @@ uint32_t SllCache::intern(std::vector<Subparser> Configs) {
   uint32_t Id = static_cast<uint32_t>(States.size());
   States.push_back(std::move(St));
   if (Backend == CacheBackend::Hashed) {
-    uint32_t Assigned = HashIntern.insert(FlatKey, FlatHash);
-    assert(Assigned == Id && "span interner id diverged from state id");
+    uint32_t Assigned = HashIntern.insert(StateHash);
+    assert(Assigned == Id && "state index id diverged from state id");
     (void)Assigned;
   } else {
     robust::injectPoint(robust::FaultSite::AvlCacheInsert);

@@ -151,10 +151,19 @@ struct Subparser {
   VisitedSet Visited;
 };
 
-/// Serializes a subparser's (prediction, stack) identity for deduplication
-/// and DFA-state keys. Visited sets are excluded: they only influence
-/// left-recursion errors, not simulation moves.
+/// Serializes a subparser's (prediction, stack) identity: the prediction,
+/// each frame's (Prod, Pos) from the top down, then an end sentinel. The
+/// words are the AvlPaperFaithful backend's DFA-state key. Visited sets
+/// are excluded: they only influence left-recursion errors, not
+/// simulation moves.
 void serializeSubparser(const Subparser &Sp, std::vector<uint32_t> &Out);
+
+/// Three-way comparison of two subparsers in the lexicographic order of
+/// their serializeSubparser words (negative, zero or positive), without
+/// serializing: it walks both stacks top-down and stops where they reach
+/// the same node, since a shared tail serializes identically. This is the
+/// canonical order of a DFA state's configs.
+int subparserCompare(const Subparser &A, const Subparser &B);
 
 /// O(1) identity hash of a subparser's (prediction, stack), reading the
 /// hash-consed stack hash. Consistent with subparserEquals.
@@ -363,8 +372,9 @@ private:
   adt::PersistentMap<std::vector<uint32_t>, uint32_t, CacheKeyLess> AvlIntern;
   adt::PersistentMap<uint64_t, uint32_t, CacheU64Less> AvlTransitions;
   adt::PersistentMap<NonterminalId, uint32_t, CompareNT> AvlStartStates;
-  // Hashed indexes (empty under the AvlPaperFaithful backend).
-  adt::SpanIndex HashIntern;
+  // Hashed indexes (empty under the AvlPaperFaithful backend). HashIntern
+  // stores no key: a state's identity is its Configs, compared in place.
+  adt::IdIndex HashIntern;
   adt::HashIndex HashTransitions;
   adt::HashIndex HashStartStates;
 
@@ -384,8 +394,9 @@ public:
 
   CacheBackend backend() const { return Backend; }
 
-  /// Interns \p Configs (sorted by serialized key) as a DFA state,
-  /// computing its resolution; returns the existing id when already known.
+  /// Interns \p Configs as a DFA state, computing its resolution; returns
+  /// the existing id when already known. The configs are stored in
+  /// canonical order (subparserCompare, ties by position in \p Configs).
   /// A new state's arena sim stacks are detached to the heap unless the
   /// cache is parse-local (see OutlivesEpoch).
   uint32_t intern(std::vector<Subparser> Configs);

@@ -13,7 +13,6 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
-#include <set>
 #include <unordered_map>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -358,7 +357,8 @@ bool decodeSll(std::span<const uint8_t> Payload, const Grammar &G,
   // in a hostile file would be a stack-overflow bomb.
   std::vector<SimStackPtr> Nodes;
   std::vector<uint32_t> Depths, TailRefs;
-  std::set<std::array<uint32_t, 3>> SeenNodes;
+  // Node i's entry gets dense id i; the index holds no copy of it.
+  adt::IdIndex SeenNodes;
   Nodes.reserve(NumNodes);
   Depths.reserve(NumNodes);
   TailRefs.reserve(NumNodes);
@@ -381,7 +381,12 @@ bool decodeSll(std::span<const uint8_t> Payload, const Grammar &G,
       Detail = "sim-stack node tail ref does not point backwards";
       return false;
     }
-    if (!SeenNodes.insert({Prod, Pos, TailRef}).second) {
+    uint64_t NodeHash = adt::mix64(
+        adt::mix64((static_cast<uint64_t>(Prod) << 32) | Pos) ^ TailRef);
+    if (SeenNodes.find(NodeHash, [&](uint32_t Id) {
+          return Nodes[Id]->F.Prod == Prod && Nodes[Id]->F.Pos == Pos &&
+                 TailRefs[Id] == TailRef;
+        })) {
       Detail = "duplicate sim-stack node entry";
       return false;
     }
@@ -405,6 +410,7 @@ bool decodeSll(std::span<const uint8_t> Payload, const Grammar &G,
     Nodes.push_back(makeSimStack(SimFrame{Prod, &Rhs, Pos},
                                  TailRef ? Nodes[TailRef - 1]
                                          : SimStackPtr()));
+    SeenNodes.insert(NodeHash);
   }
   std::vector<bool> Referenced(NumNodes, false);
 
@@ -445,13 +451,20 @@ bool decodeSll(std::span<const uint8_t> Payload, const Grammar &G,
         Referenced[StackRef - 1] = true;
       }
       Configs.push_back(Subparser{Pred, std::move(Stack), VisitedSet()});
+      // intern() would silently sort an unsorted list and keep a
+      // duplicate, so canonical order is checked here: each config must
+      // be strictly greater than the one before it.
+      if (C > 0 && subparserCompare(Configs[C - 1], Configs[C]) >= 0) {
+        Detail = "DFA state configs are not in strictly ascending "
+                 "canonical order";
+        return false;
+      }
     }
     // Re-intern the canonical config list and demand the stored id back:
     // resolutions and final-prediction sets are recomputed on exactly the
     // path live training uses, so a snapshot-loaded state can never
-    // differ from its live-trained twin — and a payload whose configs are
-    // unsorted or duplicated fails this check instead of poisoning the
-    // cache.
+    // differ from its live-trained twin — and a payload that stores one
+    // state twice fails this check instead of poisoning the cache.
     uint32_t Got = Cache->intern(std::move(Configs));
     if (Got != Sid) {
       Detail = "re-interning does not reproduce the stored state id";

@@ -74,54 +74,98 @@ TEST(HashIndex, CountsProbes) {
   EXPECT_EQ(ComparisonCounters::hashProbe(), 0u);
 }
 
-TEST(SpanIndex, AssignsDenseIdsInInsertionOrder) {
-  SpanIndex Idx;
-  std::vector<uint32_t> A{1, 2, 3}, B{1, 2}, C{};
-  EXPECT_EQ(Idx.insert(A, hashSpan(A)), 0u);
-  EXPECT_EQ(Idx.insert(B, hashSpan(B)), 1u);
-  EXPECT_EQ(Idx.insert(C, hashSpan(C)), 2u);
-  EXPECT_EQ(Idx.size(), 3u);
-  ASSERT_NE(Idx.find(A, hashSpan(A)), nullptr);
-  EXPECT_EQ(*Idx.find(A, hashSpan(A)), 0u);
-  EXPECT_EQ(*Idx.find(B, hashSpan(B)), 1u);
-  EXPECT_EQ(*Idx.find(C, hashSpan(C)), 2u);
-}
+namespace {
 
-TEST(SpanIndex, PrefixesAndExtensionsAreDistinct) {
-  // A prefix must not alias its extension even when their hashes are
-  // probed into nearby slots.
-  SpanIndex Idx;
-  std::vector<uint32_t> Keys[] = {{5}, {5, 5}, {5, 5, 5}, {5, 0}, {0, 5}};
-  uint32_t Id = 0;
-  for (const auto &K : Keys)
-    EXPECT_EQ(Idx.insert(K, hashSpan(K)), Id++);
-  Id = 0;
-  for (const auto &K : Keys) {
-    ASSERT_NE(Idx.find(K, hashSpan(K)), nullptr);
-    EXPECT_EQ(*Idx.find(K, hashSpan(K)), Id++);
+/// Items an IdIndex indexes live with the caller; these tests keep them in
+/// a vector whose positions are the ids.
+struct Items {
+  std::vector<std::vector<uint32_t>> Stored;
+
+  auto equalsFn(const std::vector<uint32_t> &Key) const {
+    return [this, &Key](uint32_t Id) { return Stored[Id] == Key; };
+  }
+  static uint64_t hashOf(const std::vector<uint32_t> &Key) {
+    uint64_t H = 0x243F6A8885A308D3ull;
+    for (uint32_t W : Key)
+      H = mix64(H ^ W);
+    return H;
+  }
+};
+
+} // namespace
+
+TEST(IdIndex, AssignsDenseIdsInInsertionOrder) {
+  IdIndex Idx;
+  Items It;
+  It.Stored = {{1, 2, 3}, {1, 2}, {}};
+  for (uint32_t Id = 0; Id < It.Stored.size(); ++Id) {
+    ASSERT_EQ(Idx.find(Items::hashOf(It.Stored[Id]),
+                       It.equalsFn(It.Stored[Id])),
+              nullptr);
+    EXPECT_EQ(Idx.insert(Items::hashOf(It.Stored[Id])), Id);
+  }
+  EXPECT_EQ(Idx.size(), 3u);
+  for (uint32_t Id = 0; Id < It.Stored.size(); ++Id) {
+    const uint32_t *Found =
+        Idx.find(Items::hashOf(It.Stored[Id]), It.equalsFn(It.Stored[Id]));
+    ASSERT_NE(Found, nullptr);
+    EXPECT_EQ(*Found, Id);
   }
 }
 
-TEST(SpanIndex, StoresKeysVerbatimThroughGrowth) {
-  SpanIndex Idx;
+TEST(IdIndex, CallerEqualityResolvesHashCollisions) {
+  // Every item under one hash: only the caller's equality test tells them
+  // apart, and it is asked only about ids whose hash matches.
+  IdIndex Idx;
+  Items It;
+  It.Stored = {{5}, {5, 5}, {5, 5, 5}, {5, 0}, {0, 5}};
+  constexpr uint64_t Collide = 0xC0FFEE;
+  for (uint32_t Id = 0; Id < It.Stored.size(); ++Id) {
+    ASSERT_EQ(Idx.find(Collide, It.equalsFn(It.Stored[Id])), nullptr);
+    EXPECT_EQ(Idx.insert(Collide), Id);
+  }
+  for (uint32_t Id = 0; Id < It.Stored.size(); ++Id) {
+    const uint32_t *Found = Idx.find(Collide, It.equalsFn(It.Stored[Id]));
+    ASSERT_NE(Found, nullptr);
+    EXPECT_EQ(*Found, Id);
+  }
+  std::vector<uint32_t> Absent{0};
+  EXPECT_EQ(Idx.find(Collide, It.equalsFn(Absent)), nullptr);
+
+  // A distinct hash never consults the equality test.
+  int Calls = 0;
+  EXPECT_EQ(Idx.find(Collide + 1,
+                     [&](uint32_t) {
+                       ++Calls;
+                       return true;
+                     }),
+            nullptr);
+  EXPECT_EQ(Calls, 0);
+}
+
+TEST(IdIndex, IdsStayDenseThroughGrowth) {
+  // Few hash values among many items: collisions chain across every
+  // capacity doubling, and ids must still come back dense and exact.
+  IdIndex Idx;
+  Items It;
   std::mt19937_64 Rng(7);
-  std::vector<std::vector<uint32_t>> Keys;
   for (uint32_t I = 0; I < 2000; ++I) {
     std::vector<uint32_t> Key;
     uint32_t Len = Rng() % 12;
     for (uint32_t J = 0; J < Len; ++J)
       Key.push_back(static_cast<uint32_t>(Rng() % 64));
-    if (Idx.find(Key, hashSpan(Key)))
+    uint64_t Hash = Items::hashOf(Key) % 97;
+    if (Idx.find(Hash, It.equalsFn(Key)))
       continue;
-    uint32_t Id = Idx.insert(Key, hashSpan(Key));
-    ASSERT_EQ(Id, Keys.size());
-    Keys.push_back(std::move(Key));
+    ASSERT_EQ(Idx.insert(Hash), It.Stored.size());
+    It.Stored.push_back(std::move(Key));
   }
-  for (uint32_t Id = 0; Id < Keys.size(); ++Id) {
-    std::span<const uint32_t> Stored = Idx.key(Id);
-    ASSERT_EQ(Stored.size(), Keys[Id].size());
-    EXPECT_TRUE(std::equal(Stored.begin(), Stored.end(), Keys[Id].begin()));
-    ASSERT_NE(Idx.find(Keys[Id], hashSpan(Keys[Id])), nullptr);
-    EXPECT_EQ(*Idx.find(Keys[Id], hashSpan(Keys[Id])), Id);
+  ASSERT_GT(It.Stored.size(), 1000u);
+  EXPECT_EQ(Idx.size(), It.Stored.size());
+  for (uint32_t Id = 0; Id < It.Stored.size(); ++Id) {
+    const uint32_t *Found = Idx.find(Items::hashOf(It.Stored[Id]) % 97,
+                                     It.equalsFn(It.Stored[Id]));
+    ASSERT_NE(Found, nullptr);
+    EXPECT_EQ(*Found, Id);
   }
 }

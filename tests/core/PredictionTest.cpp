@@ -15,8 +15,10 @@
 
 #include "core/Prediction.h"
 
+#include "../RandomGrammar.h"
 #include "../TestGrammars.h"
 #include "core/Parser.h"
+#include "grammar/Sampler.h"
 
 #include <gtest/gtest.h>
 
@@ -35,6 +37,20 @@ struct StartContext {
     Stack.push_back(Frame{InvalidProductionId, &StartSyms, 0, {}});
   }
 };
+
+/// Sign of the lexicographic comparison of \p A's and \p B's
+/// serializeSubparser words: the order subparserCompare must reproduce.
+int serializedCompare(const Subparser &A, const Subparser &B) {
+  std::vector<uint32_t> KA, KB;
+  serializeSubparser(A, KA);
+  serializeSubparser(B, KB);
+  if (std::lexicographical_compare(KA.begin(), KA.end(), KB.begin(),
+                                   KB.end()))
+    return -1;
+  return KA == KB ? 0 : 1;
+}
+
+int sign(int V) { return (V > 0) - (V < 0); }
 
 } // namespace
 
@@ -214,4 +230,70 @@ TEST(Prediction, SerializeSubparserDistinguishesStacks) {
   std::vector<uint32_t> KA2;
   serializeSubparser(A, KA2);
   EXPECT_EQ(KA, KA2) << "serialization is deterministic";
+}
+
+TEST(Prediction, SubparserCompareMatchesSerializedOrder) {
+  Grammar G = figure2Grammar();
+  auto Node = [&](ProductionId P, uint32_t Pos, SimStackPtr Tail) {
+    return std::make_shared<SimStackNode>(
+        SimFrame{P, &G.production(P).Rhs, Pos}, Tail);
+  };
+  SimStackPtr Shared = Node(1, 0, Node(2, 1, nullptr));
+  // A structurally equal copy of Shared in distinct nodes.
+  SimStackPtr Copy = Node(1, 0, Node(2, 1, nullptr));
+  std::vector<Subparser> Sps = {
+      {0, Node(0, 1, Shared), {}}, // shared tail, different top frame
+      {0, Node(0, 0, Shared), {}},
+      {0, Node(0, 1, Copy), {}},    // equal to the first, no shared nodes
+      {0, Node(0, 1, nullptr), {}}, // same top frame, ends one frame early
+      {0, Node(0, 1, Node(1, 0, nullptr)), {}}, // same top, other tail
+      {0, Node(0, 1, Node(2, 0, nullptr)), {}},
+      {0, Shared, {}},
+      {0, nullptr, {}}, // final vs. stable
+      {1, nullptr, {}},
+      {1, Node(0, 1, Shared), {}},
+      {3, Node(3, 0, nullptr), {}},
+  };
+  for (const Subparser &A : Sps)
+    for (const Subparser &B : Sps)
+      EXPECT_EQ(sign(subparserCompare(A, B)), serializedCompare(A, B));
+  EXPECT_EQ(subparserCompare(Sps[0], Sps[2]), 0)
+      << "structurally equal stacks compare equal without sharing";
+}
+
+TEST(Prediction, SubparserCompareMatchesSerializedOrderOnRandomGrammars) {
+  // Cached DFA states of random grammars supply configs with the sharing
+  // closure really produces; compare every pair within and across a few
+  // neighbouring states.
+  std::mt19937_64 Rng(20261020);
+  uint64_t Pairs = 0;
+  for (int Trial = 0; Trial < 40; ++Trial) {
+    Grammar G = randomNonLeftRecursiveGrammar(Rng);
+    GrammarAnalysis A(G, 0);
+    ParseOptions Opts;
+    Opts.ReuseCache = true;
+    Parser P(G, 0, Opts);
+    DerivationSampler Sampler(A, Rng());
+    for (int WordTrial = 0; WordTrial < 4; ++WordTrial) {
+      Word W = Sampler.sampleWord(0, 5);
+      if (W.size() <= 40)
+        (void)P.parse(W);
+    }
+    const SllCache &C = P.sharedCache();
+    std::vector<const Subparser *> Configs;
+    for (uint32_t Id = 0; Id < C.numStates(); ++Id)
+      for (const Subparser &Sp : C.state(Id).Configs)
+        Configs.push_back(&Sp);
+    for (size_t I = 0; I < Configs.size(); ++I)
+      for (size_t J = I; J < Configs.size() && J < I + 24; ++J) {
+        ASSERT_EQ(sign(subparserCompare(*Configs[I], *Configs[J])),
+                  serializedCompare(*Configs[I], *Configs[J]))
+            << G.toString();
+        ASSERT_EQ(sign(subparserCompare(*Configs[J], *Configs[I])),
+                  serializedCompare(*Configs[J], *Configs[I]))
+            << G.toString();
+        ++Pairs;
+      }
+  }
+  EXPECT_GT(Pairs, 1000u);
 }

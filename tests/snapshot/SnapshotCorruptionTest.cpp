@@ -370,10 +370,11 @@ TEST(SnapshotCorruption, ChecksumValidButMalformedPayloadsAreRejected) {
 }
 
 TEST(SnapshotCorruption, NonCanonicalStateOrderIsRejectedNotAdopted) {
-  // A checksum-valid SLL section whose states do not re-intern to their
-  // stored ids (here: the same state stored twice) must be rejected —
-  // this is the guard that keeps a crafted file from planting DFA states
-  // the grammar could never produce.
+  // Checksum-valid SLL sections whose states are not in canonical form
+  // must be rejected — this is the guard that keeps a crafted file from
+  // planting DFA states the grammar could never produce. Three forgeries
+  // of state 0: stored twice (it does not re-intern to its second id),
+  // its first two configs swapped, and its first config repeated.
   Grammar G = figure2Grammar();
   NonterminalId S = G.lookupNonterminal("S");
   GrammarAnalysis A(G, S);
@@ -388,55 +389,74 @@ TEST(SnapshotCorruption, NonCanonicalStateOrderIsRejectedNotAdopted) {
   std::vector<uint8_t> Bytes = snapshot::buildSnapshotBytes(G, &Cache, {});
   snapshot::LoadResult Good = snapshot::parseSnapshotBytes(Bytes, G);
   ASSERT_TRUE(Good.ok());
-
-  // Re-serialize with state 0 duplicated as state 1: emit state 0's node
-  // table and config list (mirroring the writer's hash-consed encoding),
-  // then reference the same configs from a second state entry.
   const SllCache &C = *Good.Contents.Cache;
-  std::vector<uint32_t> NodeWords, StateWords;
-  std::map<const SimStackNode *, uint32_t> Ptr;
-  std::map<std::array<uint32_t, 3>, uint32_t> Struct;
-  auto EmitStack = [&](const SimStackNode *Top) -> uint32_t {
-    std::vector<const SimStackNode *> Chain;
-    while (Top && !Ptr.count(Top)) {
-      Chain.push_back(Top);
-      Top = Top->Tail.get();
+  const std::vector<Subparser> &Configs0 = C.state(0).Configs;
+  ASSERT_GE(Configs0.size(), 2u);
+
+  std::vector<const Subparser *> InOrder;
+  for (const Subparser &Sp : Configs0)
+    InOrder.push_back(&Sp);
+  std::vector<const Subparser *> Swapped = InOrder;
+  std::swap(Swapped[0], Swapped[1]);
+  std::vector<const Subparser *> Repeated = InOrder;
+  Repeated.push_back(InOrder[0]);
+  using StateList = std::vector<std::vector<const Subparser *>>;
+  // The first entry is the control: state 0 alone, in canonical order,
+  // loads, so each forgery is rejected for its order alone.
+  const StateList Cases[] = {
+      {InOrder}, {InOrder, InOrder}, {Swapped}, {Repeated}};
+
+  for (const StateList &States : Cases) {
+    // Re-serialize the given config lists, mirroring the writer's
+    // hash-consed node-table encoding.
+    std::vector<uint32_t> NodeWords, StateWords;
+    std::map<const SimStackNode *, uint32_t> Ptr;
+    std::map<std::array<uint32_t, 3>, uint32_t> Struct;
+    auto EmitStack = [&](const SimStackNode *Top) -> uint32_t {
+      std::vector<const SimStackNode *> Chain;
+      while (Top && !Ptr.count(Top)) {
+        Chain.push_back(Top);
+        Top = Top->Tail.get();
+      }
+      uint32_t Ref = Top ? Ptr.at(Top) : 0;
+      for (auto It = Chain.rbegin(); It != Chain.rend(); ++It) {
+        std::array<uint32_t, 3> Key = {(*It)->F.Prod, (*It)->F.Pos, Ref};
+        auto [Slot, Fresh] = Struct.emplace(
+            Key, static_cast<uint32_t>(NodeWords.size() / 3 + 1));
+        if (Fresh)
+          NodeWords.insert(NodeWords.end(), Key.begin(), Key.end());
+        Ref = Slot->second;
+        Ptr.emplace(*It, Ref);
+      }
+      return Ref;
+    };
+    for (const std::vector<const Subparser *> &St : States) {
+      StateWords.push_back(static_cast<uint32_t>(St.size()));
+      for (const Subparser *Sp : St) {
+        StateWords.push_back(Sp->Prediction);
+        StateWords.push_back(EmitStack(Sp->Stack.get()));
+      }
     }
-    uint32_t Ref = Top ? Ptr.at(Top) : 0;
-    for (auto It = Chain.rbegin(); It != Chain.rend(); ++It) {
-      std::array<uint32_t, 3> Key = {(*It)->F.Prod, (*It)->F.Pos, Ref};
-      auto [Slot, Fresh] = Struct.emplace(
-          Key, static_cast<uint32_t>(NodeWords.size() / 3 + 1));
-      if (Fresh)
-        NodeWords.insert(NodeWords.end(), Key.begin(), Key.end());
-      Ref = Slot->second;
-      Ptr.emplace(*It, Ref);
+    std::vector<uint32_t> Words = {
+        snapshot::BackendTagHashed,
+        static_cast<uint32_t>(NodeWords.size() / 3),
+        static_cast<uint32_t>(States.size()), 0, 0, 0};
+    Words.insert(Words.end(), NodeWords.begin(), NodeWords.end());
+    Words.insert(Words.end(), StateWords.begin(), StateWords.end());
+    std::vector<uint8_t> Payload;
+    for (uint32_t V : Words)
+      w32(Payload, V);
+    snapshot::SnapshotBuilder B(snapshot::grammarFingerprint(G),
+                                snapshot::BackendTagHashed);
+    B.addSection(snapshot::SectionSllCache, std::move(Payload));
+    snapshot::LoadResult R = snapshot::parseSnapshotBytes(B.finish(), G);
+    if (&States == &Cases[0]) {
+      EXPECT_TRUE(R.ok()) << "control state failed to load";
+      continue;
     }
-    return Ref;
-  };
-  for (int Copy = 0; Copy < 2; ++Copy) { // the same state, twice
-    const SllCache::DfaState &St = C.state(0);
-    StateWords.push_back(static_cast<uint32_t>(St.Configs.size()));
-    for (const Subparser &Sp : St.Configs) {
-      StateWords.push_back(Sp.Prediction);
-      StateWords.push_back(EmitStack(Sp.Stack.get()));
-    }
+    ASSERT_FALSE(R.ok()) << "forgery " << (&States - Cases);
+    EXPECT_EQ(R.Err->Kind, SnapshotErrorKind::Malformed);
   }
-  std::vector<uint32_t> Words = {
-      snapshot::BackendTagHashed,
-      static_cast<uint32_t>(NodeWords.size() / 3),
-      /*NumStates=*/2, 0, 0, 0};
-  Words.insert(Words.end(), NodeWords.begin(), NodeWords.end());
-  Words.insert(Words.end(), StateWords.begin(), StateWords.end());
-  std::vector<uint8_t> Payload;
-  for (uint32_t V : Words)
-    w32(Payload, V);
-  snapshot::SnapshotBuilder B(snapshot::grammarFingerprint(G),
-                              snapshot::BackendTagHashed);
-  B.addSection(snapshot::SectionSllCache, std::move(Payload));
-  snapshot::LoadResult R = snapshot::parseSnapshotBytes(B.finish(), G);
-  ASSERT_FALSE(R.ok());
-  EXPECT_EQ(R.Err->Kind, SnapshotErrorKind::Malformed);
 }
 
 TEST(SnapshotCorruption, FileIoErrorsAreStructured) {
